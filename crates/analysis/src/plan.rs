@@ -39,6 +39,8 @@
 //!
 //! * every arena access stays inside its pool ([`verify_plan`] rule
 //!   `plan-oob-access`);
+//! * every index-map step reads as many `i32` index slots as its map
+//!   dereferences, and moves data within one pool (`plan-index-map`);
 //! * every start/wait pair is well-formed: same region, start first,
 //!   exactly one static site per tag, no window left open across a loop
 //!   back-edge (`plan-window-*`);
@@ -187,6 +189,24 @@ pub enum StepView {
         /// Per-device exchange stages, AOT-resolved.
         stages: Arc<Vec<Vec<StageView>>>,
     },
+    /// A strided index-map step (transpose, broadcast, slice, reshape,
+    /// concat, pad, dynamic slice/update, gather, scatter_add): reads
+    /// `srcs` through an index map whose runtime bases and indirect axis
+    /// come from the `i32` slots in `index`, and writes `dst`.
+    IndexMap {
+        /// Step mnemonic for diagnostics.
+        name: &'static str,
+        /// Data ranges read (operands and the pad value).
+        srcs: Vec<Access>,
+        /// Runtime index ranges read: dynamic start scalars and the
+        /// indirect index table.
+        index: Vec<Access>,
+        /// Runtime index slots the executable map dereferences — fixed
+        /// by the map itself, so a dropped `index` read is detectable.
+        index_arity: usize,
+        /// Result range written.
+        dst: Access,
+    },
     /// A counted loop.
     For(Box<ForView>),
 }
@@ -226,6 +246,7 @@ pub fn verify_plan(view: &PlanView) -> Vec<Diagnostic> {
         return diags;
     }
     check_windows(view, &mut diags);
+    check_index_maps(&view.steps, &mut diags);
     check_token_flow(view, &mut diags);
     check_lifetimes(view, &mut diags);
     check_rendezvous(view, &mut diags);
@@ -243,6 +264,12 @@ fn visit_accesses(step: &StepView, f: &mut impl FnMut(&Access)) {
         StepView::Compute { reads, writes, .. } => {
             reads.iter().for_each(&mut *f);
             writes.iter().for_each(&mut *f);
+        }
+        StepView::IndexMap {
+            srcs, index, dst, ..
+        } => {
+            srcs.iter().chain(index).for_each(&mut *f);
+            f(dst);
         }
         StepView::CollStart { src, .. } => f(src),
         StepView::CollWait { dst, .. } => f(dst),
@@ -278,6 +305,12 @@ fn view_effects(step: &StepView, reads: &mut Vec<Access>, writes: &mut Vec<Acces
             reads.extend_from_slice(r);
             writes.extend_from_slice(w);
         }
+        StepView::IndexMap {
+            srcs, index, dst, ..
+        } => {
+            reads.extend(srcs.iter().chain(index));
+            writes.push(*dst);
+        }
         StepView::CollStart { src, .. } => reads.push(*src),
         StepView::CollWait { dst, .. } => writes.push(*dst),
         StepView::For(l) => {
@@ -301,7 +334,7 @@ fn view_effects(step: &StepView, reads: &mut Vec<Access>, writes: &mut Vec<Acces
 
 fn step_label(step: &StepView) -> String {
     match step {
-        StepView::Compute { name, .. } => (*name).to_string(),
+        StepView::Compute { name, .. } | StepView::IndexMap { name, .. } => (*name).to_string(),
         StepView::CollStart { tag, .. } => format!("coll.start.{tag}"),
         StepView::CollWait { tag, .. } => format!("coll.wait.{tag}"),
         StepView::For(l) => format!("for x{}", l.trip_count),
@@ -427,7 +460,7 @@ fn check_windows_body(
                 }
             }
             StepView::For(l) => check_windows_body(&l.body, diags, starts, waits),
-            StepView::Compute { .. } => {}
+            StepView::Compute { .. } | StepView::IndexMap { .. } => {}
         }
     }
     for (tag, _) in open {
@@ -469,6 +502,55 @@ fn check_window_src_writes(
                 ),
             ));
             return;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 2b. Index-map structure
+// ---------------------------------------------------------------------------
+
+/// Index-map structure: the step's effect list must read every runtime
+/// index slot its map dereferences (a dropped read would let the slot be
+/// recycled while the map still reads it), index slots live in the
+/// `i32` pool, and data moves within one pool.
+fn check_index_maps(steps: &[StepView], diags: &mut Vec<Diagnostic>) {
+    const POOL_I32: usize = 1;
+    for step in steps {
+        match step {
+            StepView::IndexMap {
+                name,
+                srcs,
+                index,
+                index_arity,
+                dst,
+            } => {
+                let mut fail = |msg: String| {
+                    diags.push(Diagnostic::new(Severity::Error, "plan-index-map", msg));
+                };
+                if index.len() != *index_arity {
+                    fail(format!(
+                        "{name} dereferences {index_arity} runtime index slot(s) but its \
+                         effects read {}",
+                        index.len()
+                    ));
+                }
+                if let Some(a) = index.iter().find(|a| a.pool != POOL_I32) {
+                    fail(format!(
+                        "{name} reads index slot {} outside the i32 pool",
+                        describe_range(a)
+                    ));
+                }
+                if let Some(a) = srcs.iter().find(|a| a.pool != dst.pool) {
+                    fail(format!(
+                        "{name} writes {} from {} in another pool",
+                        describe_range(dst),
+                        describe_range(a)
+                    ));
+                }
+            }
+            StepView::For(l) => check_index_maps(&l.body, diags),
+            _ => {}
         }
     }
 }
@@ -587,6 +669,14 @@ fn interp_steps(steps: &[StepView], path: &str, chk: &mut TokenCheck, diags: &mu
                     chk.state.write(w);
                 }
             }
+            StepView::IndexMap {
+                srcs, index, dst, ..
+            } => {
+                for r in srcs.iter().chain(index) {
+                    chk.read(r, &at, diags);
+                }
+                chk.state.write(dst);
+            }
             StepView::CollStart { src, .. } => chk.read(src, &at, diags),
             StepView::CollWait { dst, .. } => chk.state.write(dst),
             StepView::For(l) => {
@@ -671,6 +761,14 @@ impl LifeWalk {
                     for w in writes {
                         self.write(w);
                     }
+                }
+                StepView::IndexMap {
+                    srcs, index, dst, ..
+                } => {
+                    for r in srcs.iter().chain(index) {
+                        self.read(r);
+                    }
+                    self.write(dst);
                 }
                 StepView::CollStart { src, .. } => self.read(src),
                 StepView::CollWait { dst, .. } => self.write(dst),

@@ -6,11 +6,16 @@
 //!   1×2/2×2/4×2 mesh ladder compiles to a [`CompiledPlan`] under both
 //!   `PlanOptions::default()` (overlapped) and `PlanOptions::blocking()`,
 //!   and the static verifier accepts every one. Blocking plans must
-//!   verify *trivially*: no collective window is open at any step.
+//!   verify *trivially*: no collective window is open at any step. The
+//!   transformer and itransformer plans (training, serving loop and
+//!   decode step) must compile without a single general interpreter
+//!   fallback step; UNet's convolutions still take it, so UNet and GNS
+//!   counts are reported, not gated.
 //! * a **mutation suite**: ≥10 seeded overlap-pass bugs injected into
 //!   the verifier view of real compiled plans — over-hoisted starts,
 //!   mis-sunk waits, aliased slots, permuted stage orders, dropped wait
-//!   edges and friends — each of which the verifier must flag.
+//!   edges and friends — plus index-map steps that lose a runtime index
+//!   read or write the wrong slot, each of which the verifier must flag.
 //!
 //! The mutations operate on a clone of [`CompiledPlan::verifier_view`],
 //! exactly the data a buggy overlap/allocation pass would have produced,
@@ -20,12 +25,15 @@
 use partir_analysis::plan::{PlanView, StageView, StepView};
 use partir_analysis::{verify_plan, Severity};
 use partir_core::Partitioning;
-use partir_ir::{FuncBuilder, TensorType};
+use partir_ir::{DType, FuncBuilder, TensorType};
 use partir_mesh::{HardwareConfig, Mesh};
 use partir_models::schedules::{self, BATCH, MODEL};
 use partir_models::{
-    gns::GnsConfig, itransformer::ITransformerConfig, mlp::MlpConfig,
-    transformer::TransformerConfig, unet::UNetConfig,
+    gns::GnsConfig,
+    itransformer::{ITransformerConfig, ServingConfig},
+    mlp::MlpConfig,
+    transformer::TransformerConfig,
+    unet::UNetConfig,
 };
 use partir_sched::{partir_jit, Schedule};
 use partir_spmd::PlanOptions;
@@ -39,7 +47,13 @@ fn meshes() -> Vec<Mesh> {
         .collect()
 }
 
-type ZooEntry = (&'static str, partir_ir::Func, Vec<(&'static str, Schedule)>);
+/// `(name, model, schedules, general_steps gated at 0)`.
+type ZooEntry = (
+    &'static str,
+    partir_ir::Func,
+    Vec<(&'static str, Schedule)>,
+    bool,
+);
 
 fn zoo() -> Vec<ZooEntry> {
     // Batch 8 so the batch axis tiles on every mesh of the ladder.
@@ -54,6 +68,7 @@ fn zoo() -> Vec<ZooEntry> {
                 .unwrap()
                 .func,
             schedules::transformer_table2(),
+            true,
         ),
         (
             "itransformer",
@@ -61,6 +76,15 @@ fn zoo() -> Vec<ZooEntry> {
                 .unwrap()
                 .func,
             schedules::itransformer_table2(),
+            true,
+        ),
+        (
+            "itransformer-serve",
+            partir_models::itransformer::build_decode_step(&ServingConfig::tiny())
+                .unwrap()
+                .func,
+            schedules::itransformer_table2(),
+            true,
         ),
         (
             "unet",
@@ -68,6 +92,7 @@ fn zoo() -> Vec<ZooEntry> {
                 .unwrap()
                 .func,
             schedules::unet_table2(),
+            false,
         ),
         (
             "gns",
@@ -75,15 +100,17 @@ fn zoo() -> Vec<ZooEntry> {
                 .unwrap()
                 .func,
             schedules::gns_table2(),
+            false,
         ),
     ]
 }
 
 /// Property: the verifier accepts every zoo plan, overlapped and
-/// blocking, and blocking plans have no open window at any step.
+/// blocking, blocking plans have no open window at any step, and the
+/// gated models compile with zero general fallback steps.
 #[test]
 fn zoo_plans_verify_under_both_options() {
-    for (name, func, rows) in zoo() {
+    for (name, func, rows, gate_general) in zoo() {
         for mesh in meshes() {
             let hw = HardwareConfig::tpu_v3_pod(mesh.clone());
             let mesh_label: Vec<String> = mesh.axes().iter().map(|(_, s)| s.to_string()).collect();
@@ -113,6 +140,12 @@ fn zoo_plans_verify_under_both_options() {
                             plan.collective_windows().iter().all(|w| w.gap_steps == 0),
                             "{label}: blocking plan has an open collective window"
                         );
+                    }
+                    let general = plan.general_steps();
+                    if gate_general {
+                        assert_eq!(general, 0, "{label} ({opt_label}): general fallback steps");
+                    } else {
+                        println!("{label} ({opt_label}): general_steps={general}");
                     }
                 }
             }
@@ -291,6 +324,15 @@ fn relocate(steps: &mut [StepView], value: u32, off: usize) {
         match step {
             StepView::Compute { reads, writes, .. } => {
                 for a in reads.iter_mut().chain(writes.iter_mut()) {
+                    if a.value == value {
+                        a.off = off;
+                    }
+                }
+            }
+            StepView::IndexMap {
+                srcs, index, dst, ..
+            } => {
+                for a in srcs.iter_mut().chain(index).chain([dst]) {
                     if a.value == value {
                         a.off = off;
                     }
@@ -495,4 +537,84 @@ fn mutation_swapped_dependent_steps() {
         .expect("no adjacent dependent compute pair");
     view.steps.swap(i, i + 1);
     assert_flags(&view, "plan-race", "swapped dependent steps");
+}
+
+/// Dynamic slice (scalar start slots) and gather (an index table) on
+/// one device: the two kinds of runtime index an index-map step reads.
+fn index_map_view() -> PlanView {
+    let mut b = FuncBuilder::new("index_maps");
+    let x = b.param("x", TensorType::f32([8, 4]));
+    let i = b.param("i", TensorType::scalar(DType::I32));
+    let idx = b.param("idx", TensorType::i32([3]));
+    let zero = b.const_i32(0).unwrap();
+    let ds = b.dynamic_slice(x, &[i, zero], vec![2, 4]).unwrap();
+    let g = b.gather(x, idx, 0).unwrap();
+    let f = b.build([ds, g]).unwrap();
+    let mesh = Mesh::single(BATCH, 1).unwrap();
+    let plan = partir_spmd::CompiledPlan::compile(&f, &mesh, &PlanOptions::default()).unwrap();
+    assert_eq!(plan.general_steps(), 0, "index maps must compile");
+    let view = plan.verifier_view().clone();
+    assert!(
+        verify_plan(&view)
+            .iter()
+            .all(|d| d.severity < Severity::Warning),
+        "baseline index-map plan must verify before mutation"
+    );
+    view
+}
+
+/// The index-map step named `name` in a top-level plan view.
+fn index_map<'a>(view: &'a mut PlanView, name: &str) -> &'a mut StepView {
+    view.steps
+        .iter_mut()
+        .find(|s| matches!(s, StepView::IndexMap { name: n, .. } if *n == name))
+        .unwrap_or_else(|| panic!("plan has no {name} index map"))
+}
+
+/// Mutation 13: a dynamic slice whose effect list forgets one of its
+/// start-index reads — the slot could be recycled under the map.
+#[test]
+fn mutation_index_map_dropped_dynamic_index_read() {
+    let mut view = index_map_view();
+    let StepView::IndexMap { index, .. } = index_map(&mut view, "dynamic_slice") else {
+        unreachable!()
+    };
+    index.pop().expect("dynamic slice reads start slots");
+    assert_flags(&view, "plan-index-map", "dropped dynamic index read");
+}
+
+/// Mutation 14: a gather whose effect list forgets its index table.
+#[test]
+fn mutation_index_map_dropped_indirect_index_read() {
+    let mut view = index_map_view();
+    let StepView::IndexMap { index, .. } = index_map(&mut view, "gather") else {
+        unreachable!()
+    };
+    index.clear();
+    assert_flags(&view, "plan-index-map", "dropped indirect index read");
+}
+
+/// Mutation 15: an index map writing the wrong slot — over its own
+/// source (the real result range is never written, so the program
+/// result reads stale data), or into its index table's pool.
+#[test]
+fn mutation_index_map_wrong_write_slot() {
+    let mut view = index_map_view();
+    let StepView::IndexMap { srcs, dst, .. } = index_map(&mut view, "gather") else {
+        unreachable!()
+    };
+    let (pool, off, len) = (srcs[0].pool, srcs[0].off, dst.len);
+    dst.pool = pool;
+    dst.off = off;
+    dst.len = len;
+    assert_flags(&view, "plan-race", "index map writing over its source");
+
+    let mut view = index_map_view();
+    let StepView::IndexMap { index, dst, .. } = index_map(&mut view, "gather") else {
+        unreachable!()
+    };
+    dst.pool = index[0].pool;
+    dst.off = index[0].off;
+    dst.len = index[0].len;
+    assert_flags(&view, "plan-index-map", "index map writing its index pool");
 }

@@ -120,6 +120,7 @@ fn bench_program(
         .metric("speedup", lockstep_s / threaded_s.max(1e-12))
         .metric("arena_bytes", plan.arena_bytes() as f64)
         .metric("fused_ops", plan.fused_ops() as f64)
+        .metric("general_steps", plan.general_steps() as f64)
         .metric("overlap_windows", overlap_windows as f64)
         .metric("overlap_hidden_ms", overlap.hidden_s() * 1e3)
         .metric("bytes", stats.total_bytes() as f64)

@@ -14,7 +14,8 @@
 //!   (both overlapped and blocking) and run the plan-level translation
 //!   validator ([`partir_analysis::plan`]): happens-before races,
 //!   arena-lifetime disjointness, and cross-device rendezvous
-//!   linearisation.
+//!   linearisation. Each plan's label carries its `general_steps`
+//!   count (interpreter-fallback steps, [`CompiledPlan::general_steps`]).
 //!
 //! Prints every diagnostic (severity, rule, op path, message), worst
 //! first. By default the exit code is non-zero iff any
@@ -286,7 +287,10 @@ fn lint_plans(smoke: bool, deny: Severity) -> usize {
                     match jitted.program.compile_with(opts) {
                         Ok(plan) => {
                             denied += report(
-                                &format!("{label} (plan {opt_label})"),
+                                &format!(
+                                    "{label} (plan {opt_label}, general_steps={})",
+                                    plan.general_steps()
+                                ),
                                 &plan.verify(),
                                 deny,
                             );

@@ -144,58 +144,6 @@ fn gather_strided<T: Copy>(
     }
 }
 
-/// [`gather_strided`] into a preallocated destination slice: the
-/// allocation-free variant compiled execution plans use in their
-/// steady-state loop. `dst.len()` must equal the product of `out_dims`.
-pub fn gather_strided_into<T: Copy>(
-    dst: &mut [T],
-    src: &[T],
-    out_dims: &[usize],
-    in_strides: &[usize],
-    base: usize,
-) {
-    debug_assert_eq!(out_dims.len(), in_strides.len());
-    let total: usize = out_dims.iter().product();
-    assert_eq!(dst.len(), total, "gather_strided_into size mismatch");
-    if total == 0 {
-        return;
-    }
-    if out_dims.is_empty() {
-        dst[0] = src[base];
-        return;
-    }
-    let inner = out_dims.len() - 1;
-    assert!(inner < MAX_RANK, "tensor rank exceeds MAX_RANK");
-    let (inner_n, inner_s) = (out_dims[inner], in_strides[inner]);
-    let rows = total / inner_n.max(1);
-    let mut idx = [0usize; MAX_RANK];
-    let mut row_base = base;
-    let mut cursor = 0usize;
-    for _ in 0..rows {
-        match inner_s {
-            1 => dst[cursor..cursor + inner_n].copy_from_slice(&src[row_base..row_base + inner_n]),
-            0 => dst[cursor..cursor + inner_n].fill(src[row_base]),
-            s => {
-                let mut off = row_base;
-                for slot in &mut dst[cursor..cursor + inner_n] {
-                    *slot = src[off];
-                    off += s;
-                }
-            }
-        }
-        cursor += inner_n;
-        for d in (0..inner).rev() {
-            idx[d] += 1;
-            row_base += in_strides[d];
-            if idx[d] < out_dims[d] {
-                break;
-            }
-            row_base -= in_strides[d] * out_dims[d];
-            idx[d] = 0;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // dot_general
 // ---------------------------------------------------------------------------

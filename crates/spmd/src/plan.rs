@@ -7,11 +7,16 @@
 //! performs that work exactly once:
 //!
 //! * every op is pre-resolved to a direct kernel call
-//!   ([`partir_ir::kernels`] matmul / transpose / broadcast / reduce
-//!   fast paths) with shapes, strides and staging permutations baked in;
-//! * adjacent same-shape `f32` elementwise ops are fused into a single
+//!   ([`partir_ir::kernels`] matmul and reduce fast paths) with shapes,
+//!   strides and staging permutations baked in;
+//! * adjacent same-length elementwise ops — `f32`/`i32` arithmetic,
+//!   compare, select and convert — are fused into a single typed
 //!   register-machine loop body ([`Step::Eltwise`]), so chains like
-//!   `neg → exp → add` make one pass over memory;
+//!   `compare → select → convert` make one pass over memory;
+//! * every data-movement op (transpose, broadcast, slice, reshape,
+//!   concat, pad, dynamic slice/update, gather, scatter_add) is one
+//!   strided index-map step ([`Step::IndexMap`]) with runtime bases and
+//!   an indirect axis read straight from the arena;
 //! * buffer lifetimes are derived from the same liveness schedule as
 //!   [`partir_analysis::static_peak_bound`] (hierarchically per region,
 //!   so loop-carried storage is never reused across iterations) and each
@@ -42,7 +47,8 @@ use partir_analysis::Diagnostic;
 use partir_ir::interp::eval_op;
 use partir_ir::kernels::{self, DotPlan, ReducePlan};
 use partir_ir::{
-    BinaryOp, Collective, DType, Func, IrError, Literal, OpId, OpKind, TensorType, UnaryOp, ValueId,
+    BinaryOp, Collective, CompareDir, DType, Func, IrError, Literal, OpId, OpKind, Shape,
+    TensorType, UnaryOp, ValueId,
 };
 use partir_mesh::Mesh;
 
@@ -54,6 +60,10 @@ use crate::runtime::RuntimeError;
 /// Register budget of the fused-elementwise machine. Chains that need
 /// more temporaries are split into consecutive fused steps.
 const MAX_REGS: usize = 16;
+
+/// Highest iteration rank an index-map step compiles; higher-rank data
+/// movement takes the general fallback.
+const MAX_RANK: usize = 16;
 
 // ---------------------------------------------------------------------------
 // Errors and options
@@ -236,11 +246,22 @@ impl PoolAlloc {
 // Plan IR
 // ---------------------------------------------------------------------------
 
-/// Fused-elementwise opcode.
+/// Fused-elementwise opcode. Each lane type has its own register bank
+/// (`f32`, `i32`, `pred`); the operand and result banks of an
+/// instruction follow from its opcode.
 #[derive(Debug, Clone, Copy)]
 enum EltOp {
+    /// `f32 → f32`.
     Un(UnaryOp),
-    Bin(BinaryOp),
+    /// Same-lane binary: any op on `f32`; wrapping add/sub/mul, max and
+    /// min on `i32`.
+    Bin(BinaryOp, DType),
+    /// Comparison of two operands of the given lane, yielding `pred`.
+    Cmp(CompareDir, DType),
+    /// `a ? b : c` with a `pred` condition and payloads of the lane.
+    Sel(DType),
+    /// Element cast `from → to`.
+    Cvt(DType, DType),
 }
 
 /// One register-machine instruction of a fused elementwise loop.
@@ -249,17 +270,21 @@ struct EltInstr {
     op: EltOp,
     a: u8,
     b: u8,
+    c: u8,
     dst: u8,
 }
 
-/// A fused chain of same-shape `f32` elementwise ops: one pass over the
-/// arena, loads → instrs → stores per element.
+/// A chain of same-length elementwise ops (possibly just one): one pass
+/// over the arena, loads → instrs → stores per block of elements. The
+/// bank of every load and store is its slot's dtype.
 #[derive(Debug, Clone)]
 struct EltwiseStep {
     n: usize,
     loads: Vec<(u8, Slot)>,
     instrs: Vec<EltInstr>,
     stores: Vec<(u8, Slot)>,
+    /// `fused_eltwise` for a chain, the op mnemonic for a single op.
+    name: &'static str,
 }
 
 /// A `Dot` pre-planned down to staging gathers and matmul extents.
@@ -271,34 +296,130 @@ struct DotStep {
     dst: Slot,
 }
 
-/// Transpose / broadcast / slice as one precomputed strided gather.
+/// How a reduction folds its reduced elements.
 #[derive(Debug, Clone)]
-struct GatherStep {
-    out_dims: Vec<usize>,
-    in_strides: Vec<usize>,
-    base: usize,
-    src: Slot,
-    dst: Slot,
-    name: &'static str,
+enum ReduceMode {
+    /// An `f32` monoid fold with precomputed output strides.
+    Fold(ReducePlan),
+    /// `arg_max` over the middle axis of an `[outer, dim, inner]` view:
+    /// the index of the first strictly-greatest element, into an `i32`
+    /// slot. NaN never compares greater, so it never wins.
+    ArgMax {
+        outer: usize,
+        dim: usize,
+        inner: usize,
+    },
 }
 
-/// An `f32` reduction with precomputed output strides.
+/// A reduction of one slot into another.
 #[derive(Debug, Clone)]
 struct ReduceStep {
-    plan: ReducePlan,
+    mode: ReduceMode,
     src: Slot,
     dst: Slot,
 }
 
-/// Concatenation as per-operand row-span copies.
+/// A runtime base offset: `clamp(index[slot], 0, max)` times a stride on
+/// the source and/or destination side of a copy (dynamic slice reads a
+/// moving window, dynamic update slice writes one).
+#[derive(Debug, Clone, Copy)]
+struct DynBase {
+    /// Scalar `i32` start index.
+    slot: Slot,
+    max: usize,
+    src_stride: usize,
+    dst_stride: usize,
+}
+
+/// An indirect axis: the copy's coordinate `j` along iteration dim
+/// `dim` is looked up in an `i32` index table. A gather reads source
+/// row `clamp(table[j], 0, extent - 1)`; a scatter adds into
+/// destination row `table[j]`, dropping indices outside `0..extent`.
+#[derive(Debug, Clone, Copy)]
+struct IndirectAxis {
+    table: Slot,
+    dim: usize,
+    extent: usize,
+    stride: usize,
+    scatter: bool,
+}
+
+/// One iteration axis of a copy: its extent and the element strides it
+/// advances the source and the destination by.
+#[derive(Debug, Clone, Copy)]
+struct MapAxis {
+    n: usize,
+    src: usize,
+    dst: usize,
+}
+
+/// One strided copy of an index map: for every multi-index `i` over
+/// `axes`, `dst[dst_base + Σ i·dst] = src[src_base + Σ i·src]` (or `+=`
+/// on a scatter), with runtime bases and an indirect axis folded into
+/// the two offsets.
 #[derive(Debug, Clone)]
-struct ConcatStep {
-    /// `(slot, extent along the concat dim)` per operand.
-    parts: Vec<(Slot, usize)>,
+struct MapCopy {
+    src: Slot,
+    axes: Vec<MapAxis>,
+    src_base: usize,
+    dst_base: usize,
+    dynamic: Vec<DynBase>,
+    indirect: Option<IndirectAxis>,
+}
+
+impl MapCopy {
+    fn new(src: Slot, dims: &[usize], src_strides: &[usize], dst_strides: &[usize]) -> Self {
+        let axes = (0..dims.len())
+            .map(|d| MapAxis {
+                n: dims[d],
+                src: src_strides[d],
+                dst: dst_strides[d],
+            })
+            .collect();
+        MapCopy {
+            src,
+            axes,
+            src_base: 0,
+            dst_base: 0,
+            dynamic: Vec::new(),
+            indirect: None,
+        }
+    }
+
+    /// A copy that writes its destination densely, row-major over `dims`.
+    fn dense(src: Slot, dims: &[usize], src_strides: &[usize]) -> Self {
+        Self::new(src, dims, src_strides, &Shape::from(dims).strides())
+    }
+
+    /// Runtime index slots this copy dereferences.
+    fn index_slots(&self) -> impl Iterator<Item = Slot> + '_ {
+        self.dynamic
+            .iter()
+            .map(|d| d.slot)
+            .chain(self.indirect.map(|i| i.table))
+    }
+}
+
+/// What an index map writes into its destination before the copies.
+#[derive(Debug, Clone, Copy)]
+enum Fill {
+    None,
+    /// The dtype's zero (scatter accumulators).
+    Zero,
+    /// A runtime scalar of the destination's pool (the pad value).
+    Value(Slot),
+}
+
+/// The one data-movement step: an optional fill of the destination, then
+/// one strided copy per operand. Transpose, broadcast, slice, reshape,
+/// concat, pad, dynamic slice/update, gather and scatter_add are all
+/// instances.
+#[derive(Debug, Clone)]
+struct IndexMapStep {
     dst: Slot,
-    outer: usize,
-    inner: usize,
-    dim_total: usize,
+    fill: Fill,
+    copies: Vec<MapCopy>,
+    name: &'static str,
 }
 
 /// Compile-time-materialized constant (or folded iota) payload.
@@ -375,8 +496,10 @@ struct CollWaitStep {
     span: String,
 }
 
-/// Fallback for rare ops: lift slots to [`Literal`]s and evaluate via
-/// [`eval_op`]. Allocates — never used for the model-zoo hot path.
+/// Fallback for ops with no compiled kernel (convolutions, and dtype
+/// variants `eval_op` rejects, so their errors stay identical): lift
+/// slots to [`Literal`]s and evaluate via [`eval_op`]. Allocates on
+/// every run; [`CompiledPlan::general_steps`] counts these steps.
 #[derive(Debug, Clone)]
 struct GeneralStep {
     kind: OpKind,
@@ -389,26 +512,10 @@ struct GeneralStep {
 #[derive(Debug, Clone)]
 enum Step {
     Baked(BakedStep),
-    Unary1 {
-        op: UnaryOp,
-        src: Slot,
-        dst: Slot,
-    },
-    Binary1 {
-        op: BinaryOp,
-        a: Slot,
-        b: Slot,
-        dst: Slot,
-    },
     Eltwise(EltwiseStep),
     Dot(DotStep),
-    Gather(GatherStep),
+    IndexMap(IndexMapStep),
     Reduce(ReduceStep),
-    Copy {
-        src: Slot,
-        dst: Slot,
-    },
-    Concat(ConcatStep),
     For(Box<ForStep>),
     CollStart(Box<CollStartStep>),
     CollWait(Box<CollWaitStep>),
@@ -421,14 +528,13 @@ impl Step {
     fn name(&self) -> &'static str {
         match self {
             Step::Baked(b) => b.name,
-            Step::Unary1 { op, .. } => OpKind::Unary(*op).name(),
-            Step::Binary1 { op, .. } => OpKind::Binary(*op).name(),
-            Step::Eltwise(_) => "fused_eltwise",
+            Step::Eltwise(e) => e.name,
             Step::Dot(_) => "dot",
-            Step::Gather(g) => g.name,
-            Step::Reduce(_) => "reduce",
-            Step::Copy { .. } => "reshape",
-            Step::Concat(_) => "concatenate",
+            Step::IndexMap(m) => m.name,
+            Step::Reduce(r) => match r.mode {
+                ReduceMode::Fold(_) => "reduce",
+                ReduceMode::ArgMax { .. } => "arg_max",
+            },
             Step::For(_) => "for",
             Step::CollStart(_) => "coll.start",
             Step::CollWait(_) => "coll.wait",
@@ -653,6 +759,12 @@ impl CompiledPlan {
         self.steps.len()
     }
 
+    /// [`Step::General`] interpreter-fallback steps in the plan, counted
+    /// recursively through loop bodies (each counted once).
+    pub fn general_steps(&self) -> usize {
+        general_steps(&self.steps)
+    }
+
     /// Static collective steps in the plan (loop bodies counted once).
     pub fn num_collectives(&self) -> usize {
         self.num_colls
@@ -744,7 +856,7 @@ impl CompiledPlan {
     /// Runs the compiled steps without a communication fabric — the
     /// steady-state hot loop. Heap-allocation-free after the first run
     /// warms the kernel scratch pool, provided the program contains no
-    /// collective exchanges or [`Step::General`] fallbacks.
+    /// collective exchanges and [`CompiledPlan::general_steps`] is 0.
     ///
     /// # Errors
     ///
@@ -895,6 +1007,38 @@ fn view_access(v: ValueId, slot: Slot) -> Access {
     }
 }
 
+/// Register assignment of one fused segment: per-bank counters, the
+/// value → register map and the arena loads (with their verifier view).
+#[derive(Default)]
+struct FusedRegs {
+    next: [u8; 3],
+    map: HashMap<ValueId, u8>,
+    loads: Vec<(u8, Slot)>,
+    reads: Vec<Access>,
+}
+
+impl FusedRegs {
+    fn fresh(&mut self, v: ValueId, dt: DType) -> u8 {
+        let bank = &mut self.next[pool_index(dt)];
+        let r = *bank;
+        *bank += 1;
+        self.map.insert(v, r);
+        r
+    }
+
+    /// The register holding `v`, loading it from the arena on first use.
+    fn get(&mut self, c: &Compiler<'_>, v: ValueId) -> Result<u8, PlanError> {
+        if let Some(&r) = self.map.get(&v) {
+            return Ok(r);
+        }
+        let slot = c.slot_of(v)?;
+        let r = self.fresh(v, slot.dtype);
+        self.loads.push((r, slot));
+        self.reads.push(view_access(v, slot));
+        Ok(r)
+    }
+}
+
 struct Compiler<'f> {
     func: &'f Func,
     mesh: &'f Mesh,
@@ -1013,11 +1157,7 @@ impl<'f> Compiler<'f> {
                         run_end += 1;
                     }
                     for (s, e) in self.segment_run(body, pos, run_end) {
-                        if e - s == 1 {
-                            self.emit_eltwise_single(body[s], out, &mut scope)?;
-                        } else {
-                            self.emit_fused(&body[s..e], n, out, &mut scope)?;
-                        }
+                        self.emit_fused(&body[s..e], n, out, &mut scope)?;
                         for frees in &frees_at[s..e] {
                             self.apply_frees(frees, &scope, &end_pinned, &mut freed);
                         }
@@ -1056,18 +1196,30 @@ impl<'f> Compiler<'f> {
         }
     }
 
-    /// `Some(element count)` when the op is a same-shape `f32`
-    /// elementwise op eligible for fusion.
+    /// `Some(element count)` when the op runs on the typed elementwise
+    /// machine: `f32` unary/binary, `i32` binary other than the ones that
+    /// can fail (div, pow), compare, non-`pred` select and convert, with
+    /// every operand the result's length.
     fn fusable_n(&self, op_id: OpId) -> Option<usize> {
         let op = self.func.op(op_id);
-        if !matches!(op.kind, OpKind::Unary(_) | OpKind::Binary(_)) {
-            return None;
-        }
         let ty = self.func.value_type(op.results[0]);
-        if ty.dtype != DType::F32 {
-            return None;
-        }
-        Some(ty.shape.num_elements())
+        let lane = match &op.kind {
+            OpKind::Unary(_) => ty.dtype == DType::F32,
+            OpKind::Binary(b) => match ty.dtype {
+                DType::F32 => true,
+                DType::I32 => !matches!(b, BinaryOp::Div | BinaryOp::Pow),
+                _ => false,
+            },
+            OpKind::Compare(_) | OpKind::Convert(_) => true,
+            OpKind::Select => matches!(ty.dtype, DType::F32 | DType::I32),
+            _ => false,
+        };
+        let n = ty.shape.num_elements();
+        let same_len = op
+            .operands
+            .iter()
+            .all(|&o| self.func.value_type(o).shape.num_elements() == n);
+        (lane && same_len).then_some(n)
     }
 
     /// Splits the elementwise run `[start, end)` into segments whose
@@ -1117,6 +1269,9 @@ impl<'f> Compiler<'f> {
             .is_some_and(|us| us.iter().any(|u| !seg_ops.contains(u)))
     }
 
+    /// Emits one elementwise segment as a register-machine step. Values
+    /// read from the arena are loaded once into their dtype's bank;
+    /// results needed outside the segment are stored back.
     fn emit_fused(
         &mut self,
         seg: &[OpId],
@@ -1125,64 +1280,38 @@ impl<'f> Compiler<'f> {
         scope: &mut ScopeAlloc,
     ) -> Result<(), PlanError> {
         let seg_ops: HashSet<OpId> = seg.iter().copied().collect();
-        let mut regmap: HashMap<ValueId, u8> = HashMap::new();
-        let mut next: u8 = 0;
-        let mut loads: Vec<(u8, Slot)> = Vec::new();
-        let mut reads: Vec<Access> = Vec::new();
+        let mut regs = FusedRegs::default();
         let mut instrs: Vec<EltInstr> = Vec::new();
         for &op_id in seg {
             let op = self.func.op(op_id);
-            let instr = match &op.kind {
-                OpKind::Unary(u) => {
-                    let a = self.fused_reg(
-                        op.operands[0],
-                        &mut regmap,
-                        &mut next,
-                        &mut loads,
-                        &mut reads,
-                    )?;
-                    EltInstr {
-                        op: EltOp::Un(*u),
-                        a,
-                        b: 0,
-                        dst: 0,
-                    }
-                }
-                OpKind::Binary(bo) => {
-                    let a = self.fused_reg(
-                        op.operands[0],
-                        &mut regmap,
-                        &mut next,
-                        &mut loads,
-                        &mut reads,
-                    )?;
-                    let b = self.fused_reg(
-                        op.operands[1],
-                        &mut regmap,
-                        &mut next,
-                        &mut loads,
-                        &mut reads,
-                    )?;
-                    EltInstr {
-                        op: EltOp::Bin(*bo),
-                        a,
-                        b,
-                        dst: 0,
-                    }
-                }
+            let mut r = [0u8; 3];
+            for (slot, &o) in r.iter_mut().zip(&op.operands) {
+                *slot = regs.get(self, o)?;
+            }
+            let dtype_of = |v: ValueId| self.func.value_type(v).dtype;
+            let eop = match &op.kind {
+                OpKind::Unary(u) => EltOp::Un(*u),
+                OpKind::Binary(bo) => EltOp::Bin(*bo, dtype_of(op.results[0])),
+                OpKind::Compare(dir) => EltOp::Cmp(*dir, dtype_of(op.operands[0])),
+                OpKind::Select => EltOp::Sel(dtype_of(op.results[0])),
+                OpKind::Convert(to) => EltOp::Cvt(dtype_of(op.operands[0]), *to),
                 _ => {
                     return Err(PlanError::Ir(IrError::invalid(
                         "non-elementwise op in fused segment",
                     )))
                 }
             };
-            let dst = next;
-            next += 1;
-            regmap.insert(op.results[0], dst);
-            instrs.push(EltInstr { dst, ..instr });
+            let dst = regs.fresh(op.results[0], dtype_of(op.results[0]));
+            instrs.push(EltInstr {
+                op: eop,
+                a: r[0],
+                b: r[1],
+                c: r[2],
+                dst,
+            });
         }
         debug_assert!(
-            (next as usize) <= MAX_REGS,
+            regs.next.iter().all(|&k| (k as usize) <= MAX_REGS),
             "fused segment overflows registers"
         );
         let mut stores: Vec<(u8, Slot)> = Vec::new();
@@ -1192,72 +1321,30 @@ impl<'f> Compiler<'f> {
             if self.needs_store(v, &seg_ops) {
                 let slot = self.alloc_value(v);
                 scope.add(v);
-                stores.push((regmap[&v], slot));
+                stores.push((regs.map[&v], slot));
                 writes.push(view_access(v, slot));
             }
         }
-        self.fused_ops += seg.len();
+        let name = if seg.len() == 1 {
+            self.func.op(seg[0]).kind.name()
+        } else {
+            self.fused_ops += seg.len();
+            "fused_eltwise"
+        };
         out.push(
             Step::Eltwise(EltwiseStep {
                 n,
-                loads,
+                loads: regs.loads,
                 instrs,
                 stores,
+                name,
             }),
             StepView::Compute {
-                name: "fused_eltwise",
-                reads,
+                name,
+                reads: regs.reads,
                 writes,
             },
         );
-        Ok(())
-    }
-
-    fn fused_reg(
-        &self,
-        v: ValueId,
-        regmap: &mut HashMap<ValueId, u8>,
-        next: &mut u8,
-        loads: &mut Vec<(u8, Slot)>,
-        reads: &mut Vec<Access>,
-    ) -> Result<u8, PlanError> {
-        if let Some(&r) = regmap.get(&v) {
-            return Ok(r);
-        }
-        let r = *next;
-        *next += 1;
-        let slot = self.slot_of(v)?;
-        loads.push((r, slot));
-        reads.push(view_access(v, slot));
-        regmap.insert(v, r);
-        Ok(r)
-    }
-
-    fn emit_eltwise_single(
-        &mut self,
-        op_id: OpId,
-        out: &mut PlanSteps,
-        scope: &mut ScopeAlloc,
-    ) -> Result<(), PlanError> {
-        let op = self.func.op(op_id);
-        let step = match &op.kind {
-            OpKind::Unary(u) => {
-                let src = self.slot_of(op.operands[0])?;
-                let dst = self.alloc_value(op.results[0]);
-                scope.add(op.results[0]);
-                Step::Unary1 { op: *u, src, dst }
-            }
-            OpKind::Binary(bo) => {
-                let a = self.slot_of(op.operands[0])?;
-                let b = self.slot_of(op.operands[1])?;
-                let dst = self.alloc_value(op.results[0]);
-                scope.add(op.results[0]);
-                Step::Binary1 { op: *bo, a, b, dst }
-            }
-            _ => return Err(PlanError::Ir(IrError::invalid("non-elementwise singleton"))),
-        };
-        let view = self.op_view(op_id)?;
-        out.push(step, view);
         Ok(())
     }
 
@@ -1327,97 +1414,6 @@ impl<'f> Compiler<'f> {
                     self.emit_general(op_id, out, scope)?;
                 }
             }
-            OpKind::Transpose { perm } => {
-                let in_shape = &self.func.value_type(op.operands[0]).shape;
-                let strides = in_shape.strides();
-                let out_dims: Vec<usize> = perm.iter().map(|&p| in_shape.dim(p)).collect();
-                let in_strides: Vec<usize> = perm.iter().map(|&p| strides[p]).collect();
-                self.push_gather(op_id, out_dims, in_strides, 0, name, out, scope)?;
-            }
-            OpKind::BroadcastInDim {
-                shape,
-                broadcast_dims,
-            } => {
-                let in_shape = &self.func.value_type(op.operands[0]).shape;
-                let src_strides = in_shape.strides();
-                let mut in_strides = vec![0usize; shape.rank()];
-                for (i, &bd) in broadcast_dims.iter().enumerate() {
-                    if in_shape.dim(i) != 1 {
-                        in_strides[bd] = src_strides[i];
-                    }
-                }
-                self.push_gather(
-                    op_id,
-                    shape.dims().to_vec(),
-                    in_strides,
-                    0,
-                    name,
-                    out,
-                    scope,
-                )?;
-            }
-            OpKind::Slice {
-                starts,
-                limits: _,
-                strides,
-            } => {
-                let in_shape = &self.func.value_type(op.operands[0]).shape;
-                let src_strides = in_shape.strides();
-                let out_dims = self.func.value_type(op.results[0]).shape.dims().to_vec();
-                let in_strides: Vec<usize> = (0..in_shape.rank())
-                    .map(|d| src_strides[d] * strides[d])
-                    .collect();
-                let base: usize = starts
-                    .iter()
-                    .zip(&src_strides)
-                    .map(|(&s, &st)| s * st)
-                    .sum();
-                self.push_gather(op_id, out_dims, in_strides, base, name, out, scope)?;
-            }
-            OpKind::Reshape { .. } => {
-                let src = self.slot_of(op.operands[0])?;
-                let dst = self.alloc_value(op.results[0]);
-                scope.add(op.results[0]);
-                let view = self.op_view(op_id)?;
-                out.push(Step::Copy { src, dst }, view);
-            }
-            OpKind::Reduce { op: rop, dims } => {
-                let in_ty = self.func.value_type(op.operands[0]);
-                if in_ty.dtype == DType::F32 {
-                    let (plan, _) = kernels::plan_reduce(*rop, &in_ty.shape, dims);
-                    let src = self.slot_of(op.operands[0])?;
-                    let dst = self.alloc_value(op.results[0]);
-                    scope.add(op.results[0]);
-                    let view = self.op_view(op_id)?;
-                    out.push(Step::Reduce(ReduceStep { plan, src, dst }), view);
-                } else {
-                    self.emit_general(op_id, out, scope)?;
-                }
-            }
-            OpKind::Concatenate { dim } => {
-                let first = self.func.value_type(op.operands[0]);
-                let outer: usize = first.shape.dims()[..*dim].iter().product();
-                let inner: usize = first.shape.dims()[*dim + 1..].iter().product();
-                let dim_total = self.func.value_type(op.results[0]).shape.dim(*dim);
-                let parts: Vec<(Slot, usize)> = op
-                    .operands
-                    .iter()
-                    .map(|&o| Ok((self.slot_of(o)?, self.func.value_type(o).shape.dim(*dim))))
-                    .collect::<Result<_, PlanError>>()?;
-                let dst = self.alloc_value(op.results[0]);
-                scope.add(op.results[0]);
-                let view = self.op_view(op_id)?;
-                out.push(
-                    Step::Concat(ConcatStep {
-                        parts,
-                        dst,
-                        outer,
-                        inner,
-                        dim_total,
-                    }),
-                    view,
-                );
-            }
             OpKind::For { trip_count } => self.emit_for(op_id, *trip_count, out, scope)?,
             OpKind::Collective(c) => {
                 let scheds: Arc<Vec<CollSched>> = Arc::new(
@@ -1479,19 +1475,36 @@ impl<'f> Compiler<'f> {
                     },
                 );
             }
-            _ => self.emit_general(op_id, out, scope)?,
+            OpKind::Reduce { op: rop, dims } if self.dtype_of(op.operands[0]) == DType::F32 => {
+                let in_shape = &self.func.value_type(op.operands[0]).shape;
+                let (plan, _) = kernels::plan_reduce(*rop, in_shape, dims);
+                self.push_reduce(op_id, ReduceMode::Fold(plan), out, scope)?;
+            }
+            OpKind::ArgMax { dim } if self.dtype_of(op.operands[0]) == DType::F32 => {
+                let dims = self.func.value_type(op.operands[0]).shape.dims();
+                let mode = ReduceMode::ArgMax {
+                    outer: dims[..*dim].iter().product(),
+                    dim: dims[*dim],
+                    inner: dims[*dim + 1..].iter().product(),
+                };
+                self.push_reduce(op_id, mode, out, scope)?;
+            }
+            _ => match self.index_map(op_id)? {
+                Some((fill, copies)) => self.push_index_map(op_id, fill, copies, out, scope)?,
+                None => self.emit_general(op_id, out, scope)?,
+            },
         }
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn push_gather(
+    fn dtype_of(&self, v: ValueId) -> DType {
+        self.func.value_type(v).dtype
+    }
+
+    fn push_reduce(
         &mut self,
         op_id: OpId,
-        out_dims: Vec<usize>,
-        in_strides: Vec<usize>,
-        base: usize,
-        name: &'static str,
+        mode: ReduceMode,
         out: &mut PlanSteps,
         scope: &mut ScopeAlloc,
     ) -> Result<(), PlanError> {
@@ -1500,16 +1513,219 @@ impl<'f> Compiler<'f> {
         let dst = self.alloc_value(op.results[0]);
         scope.add(op.results[0]);
         let view = self.op_view(op_id)?;
+        out.push(Step::Reduce(ReduceStep { mode, src, dst }), view);
+        Ok(())
+    }
+
+    /// The data-movement op `op_id` as an index map: the destination fill
+    /// and one strided copy per operand. `None` for ops that are not data
+    /// movement, and for dtype or shape variants [`eval_op`] rejects (so
+    /// the general fallback reproduces their errors).
+    fn index_map(&self, op_id: OpId) -> Result<Option<(Fill, Vec<MapCopy>)>, PlanError> {
+        let op = self.func.op(op_id);
+        if op.operands.is_empty() {
+            return Ok(None);
+        }
+        let ty = |v: ValueId| self.func.value_type(v);
+        let in_ty = ty(op.operands[0]);
+        let (in_shape, dt) = (&in_ty.shape, in_ty.dtype);
+        let in_strides = in_shape.strides();
+        let out_shape = &ty(op.results[0]).shape;
+        let out_strides = out_shape.strides();
+        let src = self.slot_of(op.operands[0])?;
+        let numeric = matches!(dt, DType::F32 | DType::I32);
+        let (fill, copies) = match &op.kind {
+            OpKind::Transpose { perm } => {
+                let dims: Vec<usize> = perm.iter().map(|&p| in_shape.dim(p)).collect();
+                let strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
+                (Fill::None, vec![MapCopy::dense(src, &dims, &strides)])
+            }
+            OpKind::BroadcastInDim {
+                shape,
+                broadcast_dims,
+            } => {
+                let mut strides = vec![0usize; shape.rank()];
+                for (i, &bd) in broadcast_dims.iter().enumerate() {
+                    if in_shape.dim(i) != 1 {
+                        strides[bd] = in_strides[i];
+                    }
+                }
+                (
+                    Fill::None,
+                    vec![MapCopy::dense(src, shape.dims(), &strides)],
+                )
+            }
+            OpKind::Slice {
+                starts, strides, ..
+            } => {
+                let steps: Vec<usize> = (0..in_shape.rank())
+                    .map(|d| in_strides[d] * strides[d])
+                    .collect();
+                let copy = MapCopy {
+                    src_base: starts.iter().zip(&in_strides).map(|(&s, &st)| s * st).sum(),
+                    ..MapCopy::dense(src, out_shape.dims(), &steps)
+                };
+                (Fill::None, vec![copy])
+            }
+            OpKind::Reshape { .. } => {
+                let n = in_shape.num_elements();
+                (Fill::None, vec![MapCopy::dense(src, &[n], &[1])])
+            }
+            OpKind::Concatenate { dim } => {
+                let mut offset = 0;
+                let mut copies = Vec::new();
+                for &o in &op.operands {
+                    let shape = &ty(o).shape;
+                    let copy = MapCopy::new(
+                        self.slot_of(o)?,
+                        shape.dims(),
+                        &shape.strides(),
+                        &out_strides,
+                    );
+                    copies.push(MapCopy {
+                        dst_base: offset * out_strides[*dim],
+                        ..copy
+                    });
+                    offset += shape.dim(*dim);
+                }
+                (Fill::None, copies)
+            }
+            OpKind::Pad { low, high: _ } if dt == DType::F32 => {
+                // Copy the input range that lands inside the output;
+                // negative `low`/`high` crop it.
+                let (mut dims, mut src_base, mut dst_base) = (Vec::new(), 0, 0);
+                for d in 0..in_shape.rank() {
+                    let lo = (-low[d]).max(0);
+                    let hi = (in_shape.dim(d) as i64).min(out_shape.dim(d) as i64 - low[d]);
+                    dims.push((hi - lo).max(0) as usize);
+                    src_base += lo as usize * in_strides[d];
+                    dst_base += (lo + low[d]) as usize * out_strides[d];
+                }
+                let copy = MapCopy {
+                    src_base,
+                    dst_base,
+                    ..MapCopy::new(src, &dims, &in_strides, &out_strides)
+                };
+                (Fill::Value(self.slot_of(op.operands[1])?), vec![copy])
+            }
+            OpKind::DynamicSlice { sizes }
+                if numeric && sizes.iter().zip(in_shape.dims()).all(|(s, d)| s <= d) =>
+            {
+                let mut copy = MapCopy::dense(src, sizes, &in_strides);
+                for (d, &idx) in op.operands[1..].iter().enumerate() {
+                    copy.dynamic.push(DynBase {
+                        slot: self.slot_of(idx)?,
+                        max: in_shape.dim(d) - sizes[d],
+                        src_stride: in_strides[d],
+                        dst_stride: 0,
+                    });
+                }
+                (Fill::None, vec![copy])
+            }
+            OpKind::DynamicUpdateSlice => {
+                let upd = &ty(op.operands[1]).shape;
+                if !numeric || upd.dims().iter().zip(in_shape.dims()).any(|(u, d)| u > d) {
+                    return Ok(None);
+                }
+                let whole = MapCopy::dense(src, &[in_shape.num_elements()], &[1]);
+                let mut copy = MapCopy::new(
+                    self.slot_of(op.operands[1])?,
+                    upd.dims(),
+                    &upd.strides(),
+                    &in_strides,
+                );
+                for (d, &idx) in op.operands[2..].iter().enumerate() {
+                    copy.dynamic.push(DynBase {
+                        slot: self.slot_of(idx)?,
+                        max: in_shape.dim(d) - upd.dim(d),
+                        src_stride: 0,
+                        dst_stride: in_strides[d],
+                    });
+                }
+                (Fill::None, vec![whole, copy])
+            }
+            OpKind::Gather { axis } if dt == DType::F32 && in_shape.dim(*axis) > 0 => {
+                let mut strides = in_strides.clone();
+                strides[*axis] = 0;
+                let mut copy = MapCopy::dense(src, out_shape.dims(), &strides);
+                copy.indirect = Some(IndirectAxis {
+                    table: self.slot_of(op.operands[1])?,
+                    dim: *axis,
+                    extent: in_shape.dim(*axis),
+                    stride: in_strides[*axis],
+                    scatter: false,
+                });
+                (Fill::None, vec![copy])
+            }
+            OpKind::ScatterAdd { axis, size } if dt == DType::F32 => {
+                let mut dst_strides = out_strides.clone();
+                dst_strides[*axis] = 0;
+                let mut copy = MapCopy::new(src, in_shape.dims(), &in_strides, &dst_strides);
+                copy.indirect = Some(IndirectAxis {
+                    table: self.slot_of(op.operands[1])?,
+                    dim: *axis,
+                    extent: *size,
+                    stride: out_strides[*axis],
+                    scatter: true,
+                });
+                (Fill::Zero, vec![copy])
+            }
+            _ => return Ok(None),
+        };
+        let fits = copies.iter().all(|c| c.axes.len() <= MAX_RANK);
+        Ok(fits.then_some((fill, copies)))
+    }
+
+    /// Emits an index-map step. Its verifier view is derived from the
+    /// step itself: every slot a copy or the fill reads, and every index
+    /// slot the map dereferences, mapped back to the operand it holds.
+    fn push_index_map(
+        &mut self,
+        op_id: OpId,
+        fill: Fill,
+        copies: Vec<MapCopy>,
+        out: &mut PlanSteps,
+        scope: &mut ScopeAlloc,
+    ) -> Result<(), PlanError> {
+        let op = self.func.op(op_id);
+        let access = |slot: Slot| -> Result<Access, PlanError> {
+            let v = op
+                .operands
+                .iter()
+                .copied()
+                .find(|&o| self.slots[o.0 as usize] == Some(slot))
+                .ok_or_else(|| PlanError::Ir(IrError::invalid("index map reads a non-operand")))?;
+            Ok(view_access(v, slot))
+        };
+        let mut srcs = copies
+            .iter()
+            .map(|c| access(c.src))
+            .collect::<Result<Vec<_>, _>>()?;
+        if let Fill::Value(s) = fill {
+            srcs.push(access(s)?);
+        }
+        let index = copies
+            .iter()
+            .flat_map(MapCopy::index_slots)
+            .map(access)
+            .collect::<Result<Vec<_>, _>>()?;
+        let dst = self.alloc_value(op.results[0]);
+        scope.add(op.results[0]);
+        let name = op.kind.name();
         out.push(
-            Step::Gather(GatherStep {
-                out_dims,
-                in_strides,
-                base,
-                src,
+            Step::IndexMap(IndexMapStep {
                 dst,
+                fill,
+                copies,
                 name,
             }),
-            view,
+            StepView::IndexMap {
+                name,
+                srcs,
+                index_arity: index.len(),
+                index,
+                dst: view_access(op.results[0], dst),
+            },
         );
         Ok(())
     }
@@ -1684,15 +1900,6 @@ fn any_conflict(xs: &[Slot], ys: &[Slot]) -> bool {
 fn step_effects(step: &Step, reads: &mut Vec<Slot>, writes: &mut Vec<Slot>) {
     match step {
         Step::Baked(b) => writes.push(b.dst),
-        Step::Unary1 { src, dst, .. } => {
-            reads.push(*src);
-            writes.push(*dst);
-        }
-        Step::Binary1 { a, b, dst, .. } => {
-            reads.push(*a);
-            reads.push(*b);
-            writes.push(*dst);
-        }
         Step::Eltwise(e) => {
             for &(_, s) in &e.loads {
                 reads.push(s);
@@ -1706,23 +1913,19 @@ fn step_effects(step: &Step, reads: &mut Vec<Slot>, writes: &mut Vec<Slot>) {
             reads.push(d.rhs);
             writes.push(d.dst);
         }
-        Step::Gather(g) => {
-            reads.push(g.src);
-            writes.push(g.dst);
+        Step::IndexMap(m) => {
+            for c in &m.copies {
+                reads.push(c.src);
+                reads.extend(c.index_slots());
+            }
+            if let Fill::Value(s) = m.fill {
+                reads.push(s);
+            }
+            writes.push(m.dst);
         }
         Step::Reduce(r) => {
             reads.push(r.src);
             writes.push(r.dst);
-        }
-        Step::Copy { src, dst } => {
-            reads.push(*src);
-            writes.push(*dst);
-        }
-        Step::Concat(c) => {
-            for &(s, _) in &c.parts {
-                reads.push(s);
-            }
-            writes.push(c.dst);
         }
         Step::For(f) => {
             writes.push(f.index);
@@ -1851,6 +2054,18 @@ fn collect_windows(steps: &[Step], windows: &mut Vec<CollWindow>) {
     }
 }
 
+/// Fallback steps, recursing into loop bodies.
+fn general_steps(steps: &[Step]) -> usize {
+    steps
+        .iter()
+        .map(|s| match s {
+            Step::General(_) => 1,
+            Step::For(f) => general_steps(&f.body),
+            _ => 0,
+        })
+        .sum()
+}
+
 /// Steps one run executes, with loop bodies multiplied by trip counts.
 fn dynamic_steps(steps: &[Step]) -> u64 {
     steps
@@ -1893,6 +2108,9 @@ pub struct PlanExecutor {
     /// by tag. A slot is `Some` exactly while its collective's payloads
     /// are in flight; the wait takes it.
     pending: Vec<Option<CollPending>>,
+    /// Register file of the elementwise machine, allocated with the
+    /// arena so steps never touch the heap or zero a stack file.
+    regs: Box<EltRegs>,
 }
 
 impl PlanExecutor {
@@ -1906,6 +2124,11 @@ impl PlanExecutor {
             carry_i32s: vec![0; plan.carry_elems[1]],
             carry_preds: vec![false; plan.carry_elems[2]],
             pending: (0..plan.num_colls).map(|_| None).collect(),
+            regs: Box::new(EltRegs {
+                f: [[0.0; ELT_BLOCK]; MAX_REGS],
+                i: [[0; ELT_BLOCK]; MAX_REGS],
+                p: [[false; ELT_BLOCK]; MAX_REGS],
+            }),
         }
     }
 }
@@ -1983,10 +2206,17 @@ fn split2<T>(pool: &mut [T], r1: Slot, r2: Slot, w: Slot) -> (&[T], &[T], &mut [
     )
 }
 
-/// Elements per register block of the fused-elementwise machine. The
-/// full register file is `MAX_REGS × ELT_BLOCK × 4 B = 8 KiB` of stack —
-/// comfortably inside L1.
+/// Elements per register block of the fused-elementwise machine. Each
+/// bank holds `MAX_REGS × ELT_BLOCK` lanes: 8 KiB for `f32` and `i32`,
+/// 2 KiB for `pred` — comfortably inside L1.
 const ELT_BLOCK: usize = 128;
+
+/// The typed register banks of the elementwise machine.
+struct EltRegs {
+    f: [[f32; ELT_BLOCK]; MAX_REGS],
+    i: [[i32; ELT_BLOCK]; MAX_REGS],
+    p: [[bool; ELT_BLOCK]; MAX_REGS],
+}
 
 /// `d[j] = op(a[j])` with the operator match hoisted out of the loop so
 /// each arm is a tight, autovectorizable kernel. Each lane computes the
@@ -2014,7 +2244,7 @@ fn apply_un(op: UnaryOp, a: &[f32], d: &mut [f32]) {
     }
 }
 
-/// `d[j] = op(a[j], b[j])`, operator match hoisted like [`apply_un`].
+/// `d[j] = a[j] op b[j]`, operator match hoisted like [`apply_un`].
 fn apply_bin(op: BinaryOp, a: &[f32], b: &[f32], d: &mut [f32]) {
     macro_rules! lanes {
         ($f:expr) => {
@@ -2034,40 +2264,375 @@ fn apply_bin(op: BinaryOp, a: &[f32], b: &[f32], d: &mut [f32]) {
     }
 }
 
-/// Executes one fused elementwise segment as a blocked vector machine:
-/// [`ELT_BLOCK`] elements at a time through the register file, each
-/// instruction a whole-block kernel ([`apply_un`]/[`apply_bin`]) rather
-/// than a per-element dispatch. Elements are independent, so blocking
-/// is bit-identical to scalar order — while keeping every intermediate
-/// of the chain in L1 instead of round-tripping arrays through memory.
-fn run_eltwise(pool: &mut [f32], e: &EltwiseStep) {
-    let mut regs = [[0f32; ELT_BLOCK]; MAX_REGS];
+/// The `i32` binary lanes: wrapping arithmetic as in `ir::interp`.
+/// Div and pow can fail there, so they are never compiled to lanes.
+fn apply_bin_i32(op: BinaryOp, a: &[i32], b: &[i32], d: &mut [i32]) {
+    let f: fn(i32, i32) -> i32 = match op {
+        BinaryOp::Add => i32::wrapping_add,
+        BinaryOp::Sub => i32::wrapping_sub,
+        BinaryOp::Mul => i32::wrapping_mul,
+        BinaryOp::Max => i32::max,
+        BinaryOp::Min => i32::min,
+        BinaryOp::Div | BinaryOp::Pow => unreachable!("plan: fallible i32 lane {op:?}"),
+    };
+    for ((y, &x1), &x2) in d.iter_mut().zip(a).zip(b) {
+        *y = f(x1, x2);
+    }
+}
+
+fn apply_cmp<T: PartialOrd>(dir: CompareDir, a: &[T], b: &[T], d: &mut [bool]) {
+    macro_rules! lanes {
+        ($op:tt) => {
+            for ((y, x1), x2) in d.iter_mut().zip(a).zip(b) {
+                *y = x1 $op x2;
+            }
+        };
+    }
+    match dir {
+        CompareDir::Eq => lanes!(==),
+        CompareDir::Ne => lanes!(!=),
+        CompareDir::Lt => lanes!(<),
+        CompareDir::Le => lanes!(<=),
+        CompareDir::Gt => lanes!(>),
+        CompareDir::Ge => lanes!(>=),
+    }
+}
+
+fn apply_sel<T: Copy>(c: &[bool], a: &[T], b: &[T], d: &mut [T]) {
+    for (((y, &p), &x1), &x2) in d.iter_mut().zip(c).zip(a).zip(b) {
+        *y = if p { x1 } else { x2 };
+    }
+}
+
+/// A lane type of the elementwise machine, convertible through `f64`
+/// exactly as `ir::interp` converts (it reads every element as `f64`).
+trait Lane: Copy + Default {
+    fn to_f64(self) -> f64;
+    fn from_f64(x: f64) -> Self;
+}
+
+impl Lane for f32 {
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+    fn from_f64(x: f64) -> Self {
+        x as f32
+    }
+}
+
+impl Lane for i32 {
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+    fn from_f64(x: f64) -> Self {
+        x as i32
+    }
+}
+
+impl Lane for bool {
+    fn to_f64(self) -> f64 {
+        if self {
+            1.0
+        } else {
+            0.0
+        }
+    }
+    fn from_f64(x: f64) -> Self {
+        x != 0.0
+    }
+}
+
+fn apply_cvt<S: Lane, D: Lane>(a: &[S], d: &mut [D]) {
+    for (y, &x) in d.iter_mut().zip(a) {
+        *y = D::from_f64(x.to_f64());
+    }
+}
+
+/// One instruction over `len` lanes of the register file. Operand
+/// blocks are copied out (at most 512 B, L1-resident) so the
+/// destination can borrow its bank mutably.
+fn exec_instr(r: &mut EltRegs, ins: &EltInstr, len: usize) {
+    let (a, b, c, d) = (
+        ins.a as usize,
+        ins.b as usize,
+        ins.c as usize,
+        ins.dst as usize,
+    );
+    match ins.op {
+        EltOp::Un(u) => {
+            let x = r.f[a];
+            apply_un(u, &x[..len], &mut r.f[d][..len]);
+        }
+        EltOp::Bin(bo, DType::F32) => {
+            let (x, y) = (r.f[a], r.f[b]);
+            apply_bin(bo, &x[..len], &y[..len], &mut r.f[d][..len]);
+        }
+        EltOp::Bin(bo, _) => {
+            let (x, y) = (r.i[a], r.i[b]);
+            apply_bin_i32(bo, &x[..len], &y[..len], &mut r.i[d][..len]);
+        }
+        EltOp::Cmp(dir, DType::F32) => {
+            apply_cmp(dir, &r.f[a][..len], &r.f[b][..len], &mut r.p[d][..len])
+        }
+        EltOp::Cmp(dir, DType::I32) => {
+            apply_cmp(dir, &r.i[a][..len], &r.i[b][..len], &mut r.p[d][..len])
+        }
+        EltOp::Cmp(dir, _) => {
+            let (x, y) = (r.p[a], r.p[b]);
+            apply_cmp(dir, &x[..len], &y[..len], &mut r.p[d][..len]);
+        }
+        EltOp::Sel(DType::F32) => {
+            let (x, y) = (r.f[b], r.f[c]);
+            apply_sel(&r.p[a][..len], &x[..len], &y[..len], &mut r.f[d][..len]);
+        }
+        EltOp::Sel(_) => {
+            let (x, y) = (r.i[b], r.i[c]);
+            apply_sel(&r.p[a][..len], &x[..len], &y[..len], &mut r.i[d][..len]);
+        }
+        EltOp::Cvt(from, to) => {
+            macro_rules! cvt {
+                ($src:ident, $dst:ident) => {{
+                    let x = r.$src[a];
+                    apply_cvt(&x[..len], &mut r.$dst[d][..len]);
+                }};
+            }
+            match (from, to) {
+                (DType::F32, DType::F32) => cvt!(f, f),
+                (DType::F32, DType::I32) => cvt!(f, i),
+                (DType::F32, _) => cvt!(f, p),
+                (DType::I32, DType::F32) => cvt!(i, f),
+                (DType::I32, DType::I32) => cvt!(i, i),
+                (DType::I32, _) => cvt!(i, p),
+                (_, DType::F32) => cvt!(p, f),
+                (_, DType::I32) => cvt!(p, i),
+                _ => cvt!(p, p),
+            }
+        }
+    }
+}
+
+/// Executes one elementwise step as a blocked vector machine:
+/// [`ELT_BLOCK`] elements at a time through the typed register banks,
+/// each instruction a whole-block kernel rather than a per-element
+/// dispatch. Elements are independent, so blocking is bit-identical to
+/// scalar order — while keeping every intermediate of the chain in L1
+/// instead of round-tripping arrays through memory.
+fn run_eltwise(st: &mut PlanExecutor, e: &EltwiseStep) {
+    let r = &mut *st.regs;
     let mut i = 0;
     while i < e.n {
         let len = ELT_BLOCK.min(e.n - i);
-        for &(r, s) in &e.loads {
-            regs[r as usize][..len].copy_from_slice(&pool[s.off + i..s.off + i + len]);
+        for &(reg, s) in &e.loads {
+            let (reg, at) = (reg as usize, s.off + i..s.off + i + len);
+            match s.dtype {
+                DType::F32 => r.f[reg][..len].copy_from_slice(&st.f32s[at]),
+                DType::I32 => r.i[reg][..len].copy_from_slice(&st.i32s[at]),
+                _ => r.p[reg][..len].copy_from_slice(&st.preds[at]),
+            }
         }
         for ins in &e.instrs {
-            match ins.op {
-                // The register file is a plain array, so the operand
-                // block is copied out (256 B, L1-resident) to let the
-                // destination borrow mutably.
-                EltOp::Un(u) => {
-                    let a = regs[ins.a as usize];
-                    apply_un(u, &a[..len], &mut regs[ins.dst as usize][..len]);
+            exec_instr(r, ins, len);
+        }
+        for &(reg, s) in &e.stores {
+            let (reg, at) = (reg as usize, s.off + i..s.off + i + len);
+            match s.dtype {
+                DType::F32 => st.f32s[at].copy_from_slice(&r.f[reg][..len]),
+                DType::I32 => st.i32s[at].copy_from_slice(&r.i[reg][..len]),
+                _ => st.preds[at].copy_from_slice(&r.p[reg][..len]),
+            }
+        }
+        i += len;
+    }
+}
+
+/// A lane an index map can move; `acc` is the scatter accumulation
+/// (only `f32` scatters are compiled).
+trait MapElem: Copy + Default {
+    fn acc(self, x: Self) -> Self;
+}
+
+impl MapElem for f32 {
+    fn acc(self, x: f32) -> f32 {
+        self + x
+    }
+}
+
+impl MapElem for i32 {
+    fn acc(self, x: i32) -> i32 {
+        self.wrapping_add(x)
+    }
+}
+
+impl MapElem for bool {
+    fn acc(self, x: bool) -> bool {
+        self | x
+    }
+}
+
+/// Runs an index-map step on the pool of its destination's dtype.
+/// Runtime bases are resolved from the `i32` pool before the data pool
+/// is borrowed, so an `i32` map may read its own pool's index scalars.
+fn run_index_map(st: &mut PlanExecutor, m: &IndexMapStep) {
+    macro_rules! on_pool {
+        ($pool:ident, $table:expr) => {{
+            fill_dst(&mut st.$pool, m.dst, m.fill);
+            for c in &m.copies {
+                let (sb, db) = dynamic_bases(&st.i32s, c);
+                map_copy(&mut st.$pool, $table, m.dst, c, sb, db);
+            }
+        }};
+    }
+    match m.dst.dtype {
+        DType::F32 => on_pool!(f32s, Some(&st.i32s[..])),
+        // Indirect axes are compiled for f32 data only.
+        DType::I32 => on_pool!(i32s, None),
+        _ => on_pool!(preds, Some(&st.i32s[..])),
+    }
+}
+
+fn fill_dst<T: Copy + Default>(pool: &mut [T], dst: Slot, fill: Fill) {
+    let v = match fill {
+        Fill::None => return,
+        Fill::Zero => T::default(),
+        Fill::Value(s) => pool[s.off],
+    };
+    pool[dst.off..dst.off + dst.len].fill(v);
+}
+
+/// Source and destination base offsets of one copy, with its runtime
+/// starts clamped exactly as `ir::interp`'s `clamp_starts` clamps them.
+fn dynamic_bases(ints: &[i32], c: &MapCopy) -> (usize, usize) {
+    let (mut sb, mut db) = (c.src_base, c.dst_base);
+    for d in &c.dynamic {
+        let start = (ints[d.slot.off].max(0) as usize).min(d.max);
+        sb += start * d.src_stride;
+        db += start * d.dst_stride;
+    }
+    (sb, db)
+}
+
+/// One strided copy of an index map into `dst`, row by row over the
+/// iteration space (row-major, the innermost dim contiguous in the
+/// loop). The destination range is carved out of the pool, so sources
+/// may live anywhere else in it.
+fn map_copy<T: MapElem>(
+    pool: &mut [T],
+    table: Option<&[i32]>,
+    dst: Slot,
+    c: &MapCopy,
+    src_base: usize,
+    dst_base: usize,
+) {
+    let total: usize = c.axes.iter().map(|a| a.n).product();
+    if total == 0 {
+        return;
+    }
+    let (left, rest) = pool.split_at_mut(dst.off);
+    let (out, right) = rest.split_at_mut(dst.len);
+    let src = read_part(left, right, dst.off, dst.off + dst.len, c.src);
+    let Some((inner, outer)) = c.axes.split_last() else {
+        out[dst_base] = src[src_base];
+        return;
+    };
+    let ind = c.indirect.map(|ind| {
+        let t = table.expect("plan: indirect axis without an index table");
+        (ind, &t[ind.table.off..ind.table.off + ind.table.len])
+    });
+    let (n, ss, ds) = (inner.n, inner.src, inner.dst);
+    let mut idx = [0usize; MAX_RANK];
+    let (mut s_row, mut d_row) = (src_base, dst_base);
+    for _ in 0..total / n {
+        match ind {
+            None => copy_row(out, src, s_row, d_row, n, ss, ds, false),
+            // The indirect axis is an outer dim: one lookup per row.
+            Some((ind, t)) if ind.dim < outer.len() => {
+                let j = t[idx[ind.dim]];
+                if let Some(off) = indirect_offset(&ind, j) {
+                    if ind.scatter {
+                        copy_row(out, src, s_row, d_row + off, n, ss, ds, true);
+                    } else {
+                        copy_row(out, src, s_row + off, d_row, n, ss, ds, false);
+                    }
                 }
-                EltOp::Bin(bo) => {
-                    let a = regs[ins.a as usize];
-                    let b = regs[ins.b as usize];
-                    apply_bin(bo, &a[..len], &b[..len], &mut regs[ins.dst as usize][..len]);
+            }
+            // The indirect axis is the innermost dim: one per element.
+            Some((ind, t)) => {
+                for (k, &j) in t.iter().enumerate().take(n) {
+                    let Some(off) = indirect_offset(&ind, j) else {
+                        continue;
+                    };
+                    let (s, d) = (s_row + k * ss, d_row + k * ds);
+                    if ind.scatter {
+                        out[d + off] = out[d + off].acc(src[s]);
+                    } else {
+                        out[d] = src[s + off];
+                    }
                 }
             }
         }
-        for &(r, s) in &e.stores {
-            pool[s.off + i..s.off + i + len].copy_from_slice(&regs[r as usize][..len]);
+        for (d, a) in outer.iter().enumerate().rev() {
+            idx[d] += 1;
+            s_row += a.src;
+            d_row += a.dst;
+            if idx[d] < a.n {
+                break;
+            }
+            s_row -= a.src * a.n;
+            d_row -= a.dst * a.n;
+            idx[d] = 0;
         }
-        i += len;
+    }
+}
+
+/// Offset of index `j` along an indirect axis: a gather clamps it into
+/// range, a scatter drops it when out of range (as `ir::interp` does).
+fn indirect_offset(ind: &IndirectAxis, j: i32) -> Option<usize> {
+    if ind.scatter {
+        (j >= 0 && (j as usize) < ind.extent).then(|| j as usize * ind.stride)
+    } else {
+        Some(j.clamp(0, ind.extent as i32 - 1) as usize * ind.stride)
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn copy_row<T: MapElem>(
+    out: &mut [T],
+    src: &[T],
+    s: usize,
+    d: usize,
+    n: usize,
+    ss: usize,
+    ds: usize,
+    acc: bool,
+) {
+    match (ss, ds, acc) {
+        (1, 1, false) => out[d..d + n].copy_from_slice(&src[s..s + n]),
+        (0, 1, false) => out[d..d + n].fill(src[s]),
+        _ => {
+            for k in 0..n {
+                let (y, x) = (&mut out[d + k * ds], src[s + k * ss]);
+                *y = if acc { y.acc(x) } else { x };
+            }
+        }
+    }
+}
+
+/// `arg_max` over the middle axis of `[outer, dim, inner]`: per output
+/// element, the first index whose value is strictly greater than every
+/// earlier one (starting from `-inf` at index 0) — `eval_argmax`'s rule.
+fn argmax_into(a: &[f32], out: &mut [i32], outer: usize, dim: usize, inner: usize) {
+    for o in 0..outer {
+        for i in 0..inner {
+            let (mut best, mut arg) = (f32::NEG_INFINITY, 0usize);
+            for j in 0..dim {
+                let v = a[(o * dim + j) * inner + i];
+                if v > best {
+                    best = v;
+                    arg = j;
+                }
+            }
+            out[o * inner + i] = arg as i32;
+        }
     }
 }
 
@@ -2201,44 +2766,24 @@ fn run_steps<E: Exchange>(
                     st.preds[b.dst.off..b.dst.off + b.dst.len].copy_from_slice(data)
                 }
             },
-            Step::Unary1 { op, src, dst } => {
-                let (s, d) = split1(&mut st.f32s, *src, *dst);
-                apply_un(*op, s, d);
-            }
-            Step::Binary1 { op, a, b, dst } => {
-                let (xa, xb, d) = split2(&mut st.f32s, *a, *b, *dst);
-                apply_bin(*op, xa, xb, d);
-            }
-            Step::Eltwise(e) => run_eltwise(&mut st.f32s, e),
+            Step::Eltwise(e) => run_eltwise(st, e),
             Step::Dot(dstep) => {
                 let (a, b, out) = split2(&mut st.f32s, dstep.lhs, dstep.rhs, dstep.dst);
                 kernels::dot_general_into(&dstep.plan, a, b, out);
             }
-            Step::Gather(g) => match g.src.dtype {
-                DType::F32 => {
-                    let (s, d) = split1(&mut st.f32s, g.src, g.dst);
-                    kernels::gather_strided_into(d, s, &g.out_dims, &g.in_strides, g.base);
+            Step::IndexMap(m) => run_index_map(st, m),
+            Step::Reduce(r) => match &r.mode {
+                ReduceMode::Fold(plan) => {
+                    let (s, d) = split1(&mut st.f32s, r.src, r.dst);
+                    kernels::reduce_f32_into(plan, s, d);
                 }
-                DType::I32 => {
-                    let (s, d) = split1(&mut st.i32s, g.src, g.dst);
-                    kernels::gather_strided_into(d, s, &g.out_dims, &g.in_strides, g.base);
-                }
-                DType::Pred => {
-                    let (s, d) = split1(&mut st.preds, g.src, g.dst);
-                    kernels::gather_strided_into(d, s, &g.out_dims, &g.in_strides, g.base);
-                }
-                dt => unreachable!("plan: unsupported dtype {dt}"),
-            },
-            Step::Reduce(r) => {
-                let (s, d) = split1(&mut st.f32s, r.src, r.dst);
-                kernels::reduce_f32_into(&r.plan, s, d);
-            }
-            Step::Copy { src, dst } => copy_slot(st, *src, *dst),
-            Step::Concat(c) => match c.dst.dtype {
-                DType::F32 => concat_into(&mut st.f32s, c),
-                DType::I32 => concat_into(&mut st.i32s, c),
-                DType::Pred => concat_into(&mut st.preds, c),
-                dt => unreachable!("plan: unsupported dtype {dt}"),
+                ReduceMode::ArgMax { outer, dim, inner } => argmax_into(
+                    &st.f32s[r.src.off..r.src.off + r.src.len],
+                    &mut st.i32s[r.dst.off..r.dst.off + r.dst.len],
+                    *outer,
+                    *dim,
+                    *inner,
+                ),
             },
             Step::For(f) => {
                 if f.trip_count == 0 {
@@ -2294,24 +2839,6 @@ fn run_steps<E: Exchange>(
         }
     }
     Ok(())
-}
-
-/// Row-span concatenation, bit-identical to `kernels::concat`.
-fn concat_into<T: Copy>(pool: &mut [T], c: &ConcatStep) {
-    let (left, rest) = pool.split_at_mut(c.dst.off);
-    let (out, right) = rest.split_at_mut(c.dst.len);
-    let w_end = c.dst.off + c.dst.len;
-    let out_row = c.dim_total * c.inner;
-    let mut offset = 0;
-    for &(s, d) in &c.parts {
-        let src = read_part(left, right, c.dst.off, w_end, s);
-        let rows = d * c.inner;
-        for o in 0..c.outer {
-            out[o * out_row + offset..o * out_row + offset + rows]
-                .copy_from_slice(&src[o * rows..(o + 1) * rows]);
-        }
-        offset += rows;
-    }
 }
 
 #[cfg(test)]

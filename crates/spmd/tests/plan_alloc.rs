@@ -8,14 +8,23 @@
 //! allocations. (`read_outputs` is excluded — it materialises fresh
 //! `Literal`s for the caller by design.)
 //!
+//! Three single-device plans are audited: a hand-picked program covering
+//! the step repertoire, the T-train step (pad, compare, select, gather
+//! and scatter_add on the index-map step and the typed elementwise
+//! lanes) and the IT32 serving decode step.
+//!
 //! The test binary is separate from the other suites so the counter only
-//! ever observes this test's own traffic.
+//! ever observes this binary's traffic; its tests run one at a time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-use partir_ir::{FuncBuilder, Literal, TensorType};
+use partir_ir::{Func, FuncBuilder, Literal, TensorType};
 use partir_mesh::Mesh;
+use partir_models::itransformer::{build_decode_step, ServingConfig};
+use partir_models::transformer::{build_train_step, TransformerConfig};
+use partir_models::{synthetic_inputs, BuiltModel};
 use partir_spmd::CompiledPlan;
 
 struct CountingAlloc;
@@ -80,26 +89,32 @@ fn compute_func() -> partir_ir::Func {
     b.build([red]).unwrap()
 }
 
-#[test]
-fn steady_state_hot_loop_allocates_nothing() {
-    let func = compute_func();
-    let mesh = Mesh::single("B", 1).unwrap();
-    let plan = CompiledPlan::compile(&func, &mesh, &Default::default()).unwrap();
+/// Serialises the tests of this binary: the allocation counter is
+/// global, so a concurrently running test (even one still building its
+/// model) would pollute the count. Every test holds it throughout.
+static SERIAL: Mutex<()> = Mutex::new(());
 
-    let inputs = vec![
-        Literal::ones(&TensorType::f32([16, 32])),
-        Literal::ones(&TensorType::f32([32, 16])),
-    ];
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Compiles `func` for one device, warms the executor with one run,
+/// then requires a second `load_inputs` + `run_local_steps` pass to
+/// allocate nothing and to reproduce the warm run's outputs.
+fn assert_warm_run_allocates_nothing(func: &Func, inputs: &[Literal]) {
+    let mesh = Mesh::single("B", 1).unwrap();
+    let plan = CompiledPlan::compile(func, &mesh, &Default::default()).unwrap();
+    assert_eq!(plan.general_steps(), 0, "plan keeps general fallback steps");
 
     let mut st = plan.new_executor();
     // Warm-up: fills the arena and the kernels' thread-local scratch.
-    plan.load_inputs(&mut st, &inputs).unwrap();
+    plan.load_inputs(&mut st, inputs).unwrap();
     plan.run_local_steps(&mut st).unwrap();
     let warm = plan.read_outputs(&st).unwrap();
 
     // Steady state: the hot loop must not touch the heap at all.
     let before = ALLOCS.load(Ordering::SeqCst);
-    plan.load_inputs(&mut st, &inputs).unwrap();
+    plan.load_inputs(&mut st, inputs).unwrap();
     plan.run_local_steps(&mut st).unwrap();
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
@@ -112,4 +127,56 @@ fn steady_state_hot_loop_allocates_nothing() {
     // And it still computes the same thing.
     let again = plan.read_outputs(&st).unwrap();
     assert_eq!(warm, again);
+}
+
+/// Asserts the model contains every op in `kinds` (so the audit covers
+/// those steps).
+fn assert_has_ops(model: &BuiltModel, kinds: &[&str]) {
+    let func = &model.func;
+    for kind in kinds {
+        assert!(
+            func.op_ids().any(|op| func.op(op).kind.name() == *kind),
+            "model has no {kind} op"
+        );
+    }
+}
+
+#[test]
+fn steady_state_hot_loop_allocates_nothing() {
+    let _serial = serial();
+    let inputs = vec![
+        Literal::ones(&TensorType::f32([16, 32])),
+        Literal::ones(&TensorType::f32([32, 16])),
+    ];
+    assert_warm_run_allocates_nothing(&compute_func(), &inputs);
+}
+
+/// The T-train step the benchmark trains (2 layers, d_model 32, batch 16).
+#[test]
+fn transformer_train_plan_allocates_nothing() {
+    let _serial = serial();
+    let model = build_train_step(&TransformerConfig {
+        layers: 2,
+        d_model: 32,
+        heads: 2,
+        d_ff: 128,
+        vocab: 64,
+        seq: 32,
+        batch: 16,
+    })
+    .unwrap();
+    assert_has_ops(
+        &model,
+        &["pad", "compare", "select", "gather", "scatter_add"],
+    );
+    assert_warm_run_allocates_nothing(&model.func, &synthetic_inputs(&model, 3));
+}
+
+/// The IT32 decode step the serving engine runs every step.
+#[test]
+fn it32_decode_step_plan_allocates_nothing() {
+    let _serial = serial();
+    let model = build_decode_step(&ServingConfig::it32()).unwrap();
+    assert_has_ops(&model, &["compare", "select", "gather", "arg_max"]);
+    assert_warm_run_allocates_nothing(&model.func, &synthetic_inputs(&model, 3));
 }
